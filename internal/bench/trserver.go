@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"interweave/internal/arch"
@@ -63,6 +64,9 @@ func trServerCase(prof *arch.Profile, spec mixSpec, iters int) (TRServerRow, err
 	// Client whole-block translation, timed, producing the update
 	// diff the server will repeatedly apply.
 	var update *wire.SegmentDiff
+	// Each timed section starts on a freshly collected heap, so a GC
+	// cycle owed to earlier allocation is not billed to it.
+	runtime.GC()
 	start := time.Now()
 	for i := 0; i < iters; i++ {
 		update, err = diff.CollectSegment(c.src.seg, diff.CollectOptions{
@@ -96,6 +100,7 @@ func trServerCase(prof *arch.Profile, spec mixSpec, iters int) (TRServerRow, err
 	}
 
 	// Server apply: a fully modified whole-block diff per iteration.
+	runtime.GC()
 	start = time.Now()
 	for i := 0; i < iters; i++ {
 		if _, _, err := svr.ApplyDiff(update); err != nil {
@@ -106,6 +111,7 @@ func trServerCase(prof *arch.Profile, spec mixSpec, iters int) (TRServerRow, err
 
 	// Server collect: assemble the full update for a lagging client.
 	before := svr.Version - 1
+	runtime.GC()
 	start = time.Now()
 	for i := 0; i < iters; i++ {
 		d, err := svr.CollectDiff(before)

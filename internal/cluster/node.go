@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -63,6 +65,9 @@ type Node struct {
 	done chan struct{}
 	wg   sync.WaitGroup
 
+	// pool holds idle peer connections for Call.
+	pool *peerPool
+
 	m *nodeMetrics
 }
 
@@ -76,6 +81,7 @@ type nodeMetrics struct {
 	revivals  *obs.Counter
 	gossipOK  *obs.Counter
 	gossipErr *obs.Counter
+	dials     *obs.Counter
 }
 
 func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
@@ -91,6 +97,7 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		revivals:  reg.Counter("iw_cluster_revivals_total", "Dead-marked members brought back to live after a successful probe."),
 		gossipOK:  reg.Counter("iw_cluster_gossip_total", "Membership pushes delivered to peers.", obs.L("result", "ok")),
 		gossipErr: reg.Counter("iw_cluster_gossip_total", "Membership pushes delivered to peers.", obs.L("result", "error")),
+		dials:     reg.Counter("iw_cluster_peer_dials_total", "Peer connections dialed by cluster RPCs (pool misses and retries)."),
 	}
 }
 
@@ -124,6 +131,7 @@ func NewNode(opts Options) *Node {
 		ring:  BuildRing(ms),
 		fails: make(map[string]int),
 		done:  make(chan struct{}),
+		pool:  newPeerPool(opts.Metrics),
 		m:     newNodeMetrics(opts.Metrics),
 	}
 	n.publishMetricsLocked()
@@ -380,8 +388,10 @@ func mergeViews(a, b protocol.Membership) protocol.Membership {
 
 // MarkDead excludes addr from placement: it marks the member dead,
 // bumps the epoch, and gossips the new view to the surviving peers.
-// No-op if addr is unknown or already dead.
+// It always closes the idle pooled connections to addr; the rest is a
+// no-op if addr is unknown or already dead.
 func (n *Node) MarkDead(addr string) bool {
+	n.pool.drain(addr)
 	n.mu.Lock()
 	idx := -1
 	for i, m := range n.ms.Members {
@@ -554,8 +564,11 @@ func (n *Node) probePeers() {
 	}
 }
 
-// Close stops the heartbeat loop.
+// Close stops the heartbeat loop and closes the idle peer
+// connections; an RPC still in flight closes its connection when it
+// finishes instead of pooling it.
 func (n *Node) Close() {
+	n.pool.close()
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -569,33 +582,68 @@ func (n *Node) Close() {
 
 // dial opens a peer connection.
 func (n *Node) dial(addr string) (net.Conn, error) {
+	if n.m != nil {
+		n.m.dials.Inc()
+	}
 	if n.opts.Dial != nil {
 		return n.opts.Dial(addr)
 	}
 	return net.DialTimeout("tcp", addr, n.opts.DialTimeout)
 }
 
-// Call performs one synchronous RPC against a peer: dial, one frame
-// out, one frame in. Cluster control traffic is rare enough that
-// per-call connections keep the failure model trivial — any wedged
-// peer costs one DialTimeout, never a pooled connection.
+// Call performs one synchronous RPC against a peer: one frame out,
+// one frame in. Every peer RPC — replication, catch-up, Pull,
+// migration, gossip, probes — goes through here, on an idle pooled
+// connection to addr when there is one and a fresh dial otherwise.
+// Each attempt is bounded by DialTimeout, so a wedged peer costs one
+// DialTimeout. A connection that errors is closed, never pooled. When
+// a reused connection fails without timing out — typically because
+// the peer closed it while it sat idle — the RPC is retried exactly
+// once on a fresh dial. The retry may deliver a request the peer has
+// already applied; every peer RPC tolerates that, and a duplicated
+// Replicate is refused by the replica's PrevVersion check, so it can
+// never turn into a false ack (DESIGN.md §7.3).
 func (n *Node) Call(addr string, req protocol.Message) (protocol.Message, error) {
-	conn, err := n.dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(n.opts.DialTimeout))
-	if err := protocol.WriteFrame(conn, 1, req); err != nil {
-		return nil, err
-	}
-	_, reply, err := protocol.ReadFrame(conn)
+	reply, err := n.exchange(addr, req)
 	if err != nil {
 		return nil, err
 	}
 	if e, ok := reply.(*protocol.ErrorReply); ok {
 		return nil, fmt.Errorf("cluster: peer %s: %w", addr, e)
 	}
+	return reply, nil
+}
+
+// exchange is Call's transport half: a pooled attempt, then at most
+// one attempt on a fresh dial.
+func (n *Node) exchange(addr string, req protocol.Message) (protocol.Message, error) {
+	if conn := n.pool.get(addr); conn != nil {
+		reply, err := n.roundTrip(addr, conn, req)
+		if err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			return reply, err
+		}
+	}
+	conn, err := n.dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return n.roundTrip(addr, conn, req)
+}
+
+// roundTrip writes req on conn and reads the reply within DialTimeout.
+// It returns conn to the pool on success and closes it on failure.
+func (n *Node) roundTrip(addr string, conn net.Conn, req protocol.Message) (protocol.Message, error) {
+	_ = conn.SetDeadline(time.Now().Add(n.opts.DialTimeout))
+	err := protocol.WriteFrame(conn, 1, req)
+	var reply protocol.Message
+	if err == nil {
+		_, reply, err = protocol.ReadFrame(conn)
+	}
+	if err != nil {
+		_ = conn.Close()
+		return nil, err
+	}
+	n.pool.put(addr, conn)
 	return reply, nil
 }
 

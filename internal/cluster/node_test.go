@@ -3,6 +3,7 @@ package cluster
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -440,5 +441,319 @@ func TestNodeHeartbeatMarksDead(t *testing.T) {
 		if addr == "gone:1" {
 			t.Error("unreachable peer still live")
 		}
+	}
+}
+
+// poolPeer is an in-process peer that answers every frame on a
+// connection until the caller closes it: RingGet with a RingReply,
+// anything else with an Ack. While hold is set, replies wait for a
+// receive on release. It counts the connections it accepted and the
+// ones the caller closed.
+type poolPeer struct {
+	t       *testing.T
+	addr    string
+	hold    atomic.Bool
+	release chan struct{}
+	got     chan struct{} // one send per request received while held
+	wedge   atomic.Bool   // read requests but never answer
+
+	mu       sync.Mutex
+	ln       net.Listener
+	conns    map[net.Conn]struct{}
+	accepted int
+	closedBy int // connections whose caller closed them
+}
+
+func newPoolPeer(t *testing.T) *poolPeer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &poolPeer{
+		t: t, addr: ln.Addr().String(),
+		release: make(chan struct{}), got: make(chan struct{}, 64),
+		conns: make(map[net.Conn]struct{}),
+	}
+	p.serve(ln)
+	t.Cleanup(p.stop)
+	return p
+}
+
+func (p *poolPeer) serve(ln net.Listener) {
+	p.mu.Lock()
+	p.ln = ln
+	p.mu.Unlock()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			p.mu.Lock()
+			p.accepted++
+			p.conns[conn] = struct{}{}
+			p.mu.Unlock()
+			go p.handle(conn)
+		}
+	}()
+}
+
+func (p *poolPeer) handle(conn net.Conn) {
+	defer conn.Close()
+	for {
+		id, msg, err := protocol.ReadFrame(conn)
+		if err != nil {
+			p.mu.Lock()
+			if _, ok := p.conns[conn]; ok {
+				delete(p.conns, conn)
+				p.closedBy++
+			}
+			p.mu.Unlock()
+			return
+		}
+		if p.wedge.Load() {
+			continue
+		}
+		if p.hold.Load() {
+			p.got <- struct{}{}
+			<-p.release
+		}
+		var reply protocol.Message = &protocol.Ack{}
+		if _, ok := msg.(*protocol.RingGet); ok {
+			reply = &protocol.RingReply{Ms: protocol.Membership{Epoch: 1}}
+		}
+		if err := protocol.WriteFrame(conn, id, reply); err != nil {
+			return
+		}
+	}
+}
+
+// stop closes the listener and every open connection from the peer
+// side, as a crashed or restarted process would.
+func (p *poolPeer) stop() {
+	p.mu.Lock()
+	_ = p.ln.Close()
+	for c := range p.conns {
+		delete(p.conns, c)
+		_ = c.Close()
+	}
+	p.mu.Unlock()
+}
+
+// restart stops the peer and listens again on the same address.
+func (p *poolPeer) restart() {
+	p.stop()
+	ln, err := net.Listen("tcp", p.addr)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	p.serve(ln)
+}
+
+// callerClosed reports how many connections the caller has closed.
+func (p *poolPeer) callerClosed() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.closedBy
+}
+
+// waitCallerClosed waits until the caller has closed want connections.
+func (p *poolPeer) waitCallerClosed(want int) {
+	p.t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for p.callerClosed() < want {
+		if time.Now().After(deadline) {
+			p.t.Fatalf("caller closed %d connections, want %d", p.callerClosed(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// newPoolNode builds a node whose dials are counted.
+func newPoolNode(t *testing.T, timeout time.Duration, peers ...string) (*Node, *obs.Registry, *atomic.Int64) {
+	t.Helper()
+	var dials atomic.Int64
+	reg := obs.NewRegistry()
+	n := NewNode(Options{
+		Self: "self:1", Peers: peers, Metrics: reg, DialTimeout: timeout,
+		Dial: func(addr string) (net.Conn, error) {
+			dials.Add(1)
+			return net.DialTimeout("tcp", addr, timeout)
+		},
+	})
+	t.Cleanup(n.Close)
+	return n, reg, &dials
+}
+
+func idleConns(reg *obs.Registry) int {
+	return int(reg.Snapshot().Gauges["iw_cluster_peer_conns_idle"])
+}
+
+// TestCallPoolReuse: sequential RPCs share one connection.
+func TestCallPoolReuse(t *testing.T) {
+	p := newPoolPeer(t)
+	n, reg, dials := newPoolNode(t, time.Second, p.addr)
+	for i := 0; i < 100; i++ {
+		if _, err := n.Call(p.addr, &protocol.RingGet{}); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if d := dials.Load(); d != 1 {
+		t.Errorf("100 sequential calls dialed %d times, want 1", d)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["iw_cluster_peer_dials_total"]; got != 1 {
+		t.Errorf("iw_cluster_peer_dials_total = %v, want 1", got)
+	}
+	if got := snap.Gauges["iw_cluster_peer_conns_idle"]; got != 1 {
+		t.Errorf("iw_cluster_peer_conns_idle = %v, want 1", got)
+	}
+}
+
+// TestCallPoolPeerRestart: a pooled connection the peer closed fails
+// on reuse, and the call succeeds with exactly one redial.
+func TestCallPoolPeerRestart(t *testing.T) {
+	p := newPoolPeer(t)
+	n, _, dials := newPoolNode(t, time.Second, p.addr)
+	if _, err := n.Call(p.addr, &protocol.RingGet{}); err != nil {
+		t.Fatal(err)
+	}
+	p.restart()
+	if _, err := n.Call(p.addr, &protocol.RingGet{}); err != nil {
+		t.Fatalf("call after peer restart: %v", err)
+	}
+	if d := dials.Load(); d != 2 {
+		t.Errorf("dials = %d, want 2 (first call + one redial)", d)
+	}
+}
+
+// TestCallPoolWedgedPeer: a peer that stops answering on a pooled
+// connection costs one DialTimeout with no retry, and the connection
+// is closed, not pooled again.
+func TestCallPoolWedgedPeer(t *testing.T) {
+	p := newPoolPeer(t)
+	const timeout = 200 * time.Millisecond
+	n, reg, dials := newPoolNode(t, timeout, p.addr)
+	if _, err := n.Call(p.addr, &protocol.RingGet{}); err != nil {
+		t.Fatal(err)
+	}
+	p.wedge.Store(true)
+	start := time.Now()
+	if _, err := n.Call(p.addr, &protocol.RingGet{}); err == nil {
+		t.Fatal("call to a wedged peer succeeded")
+	}
+	if el := time.Since(start); el > 2*timeout {
+		t.Errorf("wedged call took %v, want about %v", el, timeout)
+	}
+	if d := dials.Load(); d != 1 {
+		t.Errorf("dials after the timed-out call = %d, want 1 (no retry after a timeout)", d)
+	}
+	if got := idleConns(reg); got != 0 {
+		t.Errorf("idle conns after a failed call = %d, want 0", got)
+	}
+	p.waitCallerClosed(1)
+	p.wedge.Store(false)
+	if _, err := n.Call(p.addr, &protocol.RingGet{}); err != nil {
+		t.Fatal(err)
+	}
+	if d := dials.Load(); d != 2 {
+		t.Errorf("dials = %d, want 2 (the wedged connection was not reused)", d)
+	}
+}
+
+// TestCallPoolConcurrent: concurrent RPCs each get their own
+// connection, and at most the cap of them stay idle afterwards.
+func TestCallPoolConcurrent(t *testing.T) {
+	p := newPoolPeer(t)
+	n, reg, _ := newPoolNode(t, 5*time.Second, p.addr)
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 10; j++ {
+				if _, err := n.Call(p.addr, &protocol.RingGet{}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := idleConns(reg); got < 1 || got > maxIdlePeerConns {
+		t.Errorf("idle conns = %d, want 1..%d", got, maxIdlePeerConns)
+	}
+}
+
+// TestCallPoolClose: Close closes every idle connection, and an RPC
+// in flight across Close closes its connection instead of pooling it.
+func TestCallPoolClose(t *testing.T) {
+	p := newPoolPeer(t)
+	n, reg, _ := newPoolNode(t, 5*time.Second, p.addr)
+
+	// Three RPCs held at the peer at once leave three idle conns.
+	const held = 3
+	p.hold.Store(true)
+	var wg sync.WaitGroup
+	for i := 0; i < held; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := n.Call(p.addr, &protocol.RingGet{}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for i := 0; i < held; i++ {
+		<-p.got
+	}
+	for i := 0; i < held; i++ {
+		p.release <- struct{}{}
+	}
+	wg.Wait()
+	if got := idleConns(reg); got != held {
+		t.Fatalf("idle conns = %d, want %d", got, held)
+	}
+
+	// One more RPC is in flight when Close runs.
+	done := make(chan error, 1)
+	go func() {
+		_, err := n.Call(p.addr, &protocol.RingGet{})
+		done <- err
+	}()
+	<-p.got
+	n.Close()
+	p.waitCallerClosed(held - 1) // the in-flight call took one idle conn
+	p.release <- struct{}{}
+	if err := <-done; err != nil {
+		t.Fatalf("in-flight call across Close: %v", err)
+	}
+	p.waitCallerClosed(held)
+	if got := idleConns(reg); got != 0 {
+		t.Errorf("idle conns after Close = %d, want 0", got)
+	}
+}
+
+// TestCallPoolMarkDead: marking a peer dead closes its idle
+// connections and leaves other peers' pooled.
+func TestCallPoolMarkDead(t *testing.T) {
+	a, b := newPoolPeer(t), newPoolPeer(t)
+	n, reg, _ := newPoolNode(t, time.Second, a.addr, b.addr)
+	for _, addr := range []string{a.addr, b.addr} {
+		if _, err := n.Call(addr, &protocol.RingGet{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := idleConns(reg); got != 2 {
+		t.Fatalf("idle conns = %d, want 2", got)
+	}
+	n.MarkDead(a.addr)
+	a.waitCallerClosed(1)
+	if got := idleConns(reg); got != 1 {
+		t.Errorf("idle conns after MarkDead = %d, want 1 (b's)", got)
+	}
+	if got := b.callerClosed(); got != 0 {
+		t.Errorf("b's connection closed %d times, want 0", got)
 	}
 }

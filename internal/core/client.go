@@ -567,6 +567,14 @@ type serverConn struct {
 	addr   string
 	notify func(seg string, version uint32)
 
+	// heard is, per segment, the newest version a Notify on this
+	// connection announced. The read loop records it before reading
+	// the next frame, without the client mutex (which a caller may
+	// hold while waiting for a reply on this very connection), so any
+	// reply the server sent after a Notify finds it recorded.
+	heardMu sync.Mutex
+	heard   map[string]uint32
+
 	mu      sync.Mutex
 	nextID  uint32
 	pending map[uint32]chan protocol.Message
@@ -594,11 +602,14 @@ func (sc *serverConn) readLoop() {
 			return
 		}
 		if id == 0 {
-			if n, ok := msg.(*protocol.Notify); ok && sc.notify != nil {
-				// Dispatch asynchronously: the client may be holding
-				// its mutex while waiting for a reply on this very
-				// connection, and invalidation order is immaterial.
-				go sc.notify(n.Seg, n.Version)
+			if n, ok := msg.(*protocol.Notify); ok {
+				sc.noteHeard(n.Seg, n.Version)
+				if sc.notify != nil {
+					// Dispatch asynchronously: the client may be holding
+					// its mutex while waiting for a reply on this very
+					// connection; ensureFresh consults heard meanwhile.
+					go sc.notify(n.Seg, n.Version)
+				}
 			}
 			continue
 		}
@@ -628,6 +639,26 @@ func (sc *serverConn) fail(err error) {
 	for _, ch := range pending {
 		close(ch)
 	}
+}
+
+// noteHeard records a Notify of seg at version.
+func (sc *serverConn) noteHeard(seg string, version uint32) {
+	sc.heardMu.Lock()
+	if sc.heard == nil {
+		sc.heard = make(map[string]uint32)
+	}
+	if version > sc.heard[seg] {
+		sc.heard[seg] = version
+	}
+	sc.heardMu.Unlock()
+}
+
+// heardVersion returns the newest version of seg a Notify on this
+// connection announced (0 if none).
+func (sc *serverConn) heardVersion(seg string) uint32 {
+	sc.heardMu.Lock()
+	defer sc.heardMu.Unlock()
+	return sc.heard[seg]
 }
 
 func (sc *serverConn) isClosed() bool {

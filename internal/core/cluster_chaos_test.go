@@ -144,7 +144,19 @@ func readVals(t *testing.T, c *Client, seg, block string, want ...int32) {
 // promoted through the heartbeat/epoch pipeline; the client's
 // existing Resume recovery completes the release against the new
 // primary with no lost or duplicated versions.
-func TestClusterFailoverMidWrite(t *testing.T) {
+func TestClusterFailoverMidWrite(t *testing.T) { runClusterFailover(t, false) }
+
+// TestClusterFailoverBeforeRelease is the same scenario with the
+// release sent only after the survivors promoted the replica: the
+// write lock died with the primary, the client's redial fails, and the
+// rerouted release reaches a new owner that never granted it the lock.
+// The release must still commit exactly once there.
+func TestClusterFailoverBeforeRelease(t *testing.T) { runClusterFailover(t, true) }
+
+// runClusterFailover kills the primary while the client holds the
+// segment's write lock. With settle set, it waits until a survivor has
+// marked the primary dead before releasing.
+func runClusterFailover(t *testing.T, settle bool) {
 	nodes := startChaosCluster(t, 3, 1, 5*time.Millisecond)
 	seg := nodes[0].addr + "/acc"
 	primary := nodeAt(t, nodes, nodes[0].node.Owner(seg))
@@ -188,6 +200,9 @@ func TestClusterFailoverMidWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	primary.kill()
+	for settle && survivor.node.Epoch() == 1 {
+		time.Sleep(time.Millisecond)
+	}
 	writeVals(t, c, h, blk.Addr, 10, 20, 30, 40)
 	if got := h.Version(); got != 2 {
 		t.Errorf("version after failover release = %d, want exactly 2 (no lost or duplicated versions)", got)

@@ -438,6 +438,18 @@ func (c *Client) ensureFresh(s *segment, sp *obs.Span) error {
 		// can no longer arrive, so local freshness cannot be trusted.
 		s.state.Subscribed = false
 	}
+	if s.state.Subscribed {
+		// A Notify the asynchronous onNotify has not applied yet
+		// still invalidates: a reply that arrived after it (say, a
+		// read lock showing another part of the same transaction
+		// new) must not be combined with this stale copy.
+		if v := s.conn.heardVersion(s.name); v > s.version {
+			s.state.Invalidated = true
+			if v > s.notifiedVersion {
+				s.notifiedVersion = v
+			}
+		}
+	}
 	if s.policy.LocallyFresh(s.state, now) {
 		return nil
 	}
@@ -645,6 +657,14 @@ func (c *Client) WUnlock(h *Segment) error {
 		// (the fenced server adopted the newer view before replying),
 		// which holds every acknowledged version — so the identical
 		// release is re-driven there.
+		reply, err = c.recoverWUnlock(s, msg, sp)
+	} else if err != nil && errCode(err) == protocol.CodeLockState {
+		// The release reached a session that does not hold the write
+		// lock: the lock died with the old connection, and a failed
+		// redial rerouted the release to the segment's new owner. The
+		// server checks its dedup table before the lock, so nothing
+		// was applied; the same recovery re-takes the lock there and
+		// re-drives the release.
 		reply, err = c.recoverWUnlock(s, msg, sp)
 	}
 	if err != nil {

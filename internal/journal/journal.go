@@ -19,10 +19,11 @@
 // on is discarded and the file truncated, so a crash mid-append can
 // only lose the unacknowledged tail write.
 //
-// The in-memory window mirrors the log's records between compactions.
-// It serves two readers: startup replay, and the cluster catch-up
-// path, which replays the journaled frames to a rejoining replica
-// instead of collecting a full diff. Compaction folds the window into
+// The in-memory window mirrors the log's records between compactions,
+// kept encoded so a log costs its file size in memory; readers decode
+// the records they ask for. It serves two readers: startup replay,
+// and the cluster catch-up path, which replays the journaled frames to
+// a rejoining replica instead of collecting a full diff. Compaction folds the window into
 // a fresh base and truncates the log; the base is renamed into place
 // before the log shrinks, so a crash between the two steps leaves a
 // log whose stale records replay as no-ops (their versions are
@@ -194,8 +195,8 @@ func (s *Store) Close() error {
 }
 
 // Log is one segment's journal: its append handle, its in-memory
-// window (the decoded records currently in the log file), and the
-// path of its checkpoint base.
+// window (the records currently in the log file), and the path of its
+// checkpoint base.
 type Log struct {
 	seg      string
 	path     string
@@ -205,7 +206,7 @@ type Log struct {
 	mu     sync.Mutex
 	f      *os.File // nil until the first append (or when nothing to load)
 	size   int64
-	window []*protocol.Replicate
+	window []record
 	torn   bool // the on-disk log ended in a torn/corrupt record at load
 	closed bool
 }
@@ -220,8 +221,9 @@ func (l *Log) load() error {
 	if err != nil {
 		return fmt.Errorf("journal: reading %s: %w", l.path, err)
 	}
-	recs, valid, torn := ScanRecords(data)
-	l.window = recs
+	valid, torn := scanRecords(data, func(rep *protocol.Replicate, payload []byte) {
+		l.window = append(l.window, record{version: rep.Version, payload: payload})
+	})
 	l.size = int64(valid)
 	l.torn = torn
 	if torn {
@@ -240,36 +242,61 @@ func (l *Log) load() error {
 // (a torn record or trailing garbage) was dropped after it. It never
 // fails: corruption only shortens the prefix.
 func ScanRecords(data []byte) (recs []*protocol.Replicate, validPrefix int, torn bool) {
+	validPrefix, torn = scanRecords(data, func(rep *protocol.Replicate, _ []byte) {
+		recs = append(recs, rep)
+	})
+	return recs, validPrefix, torn
+}
+
+// scanRecords is ScanRecords handing each valid record, decoded and as
+// its payload bytes (a subslice of data), to fn.
+func scanRecords(data []byte, fn func(rep *protocol.Replicate, payload []byte)) (validPrefix int, torn bool) {
 	off := 0
 	for {
 		rest := data[off:]
 		if len(rest) == 0 {
-			return recs, off, false
+			return off, false
 		}
 		if len(rest) < recordHeader {
-			return recs, off, true
+			return off, true
 		}
 		r := wire.NewReader(rest[:recordHeader])
 		n := int(r.U32())
 		sum := r.U32()
 		if n <= 0 || n > maxRecord || n > len(rest)-recordHeader {
-			return recs, off, true
+			return off, true
 		}
 		payload := rest[recordHeader : recordHeader+n]
 		if crc32.ChecksumIEEE(payload) != sum {
-			return recs, off, true
+			return off, true
 		}
-		m, err := protocol.UnmarshalMessage(payload)
+		rep, err := decodeRecord(payload)
 		if err != nil {
-			return recs, off, true
+			return off, true
 		}
-		rep, ok := m.(*protocol.Replicate)
-		if !ok {
-			return recs, off, true
-		}
-		recs = append(recs, rep)
+		fn(rep, payload)
 		off += recordHeader + n
 	}
+}
+
+// record is one window entry: a journaled Replicate in its encoded
+// form, with its version for filtering without a decode.
+type record struct {
+	version uint32
+	payload []byte
+}
+
+// decodeRecord decodes one record payload.
+func decodeRecord(payload []byte) (*protocol.Replicate, error) {
+	m, err := protocol.UnmarshalMessage(payload)
+	if err != nil {
+		return nil, err
+	}
+	rep, ok := m.(*protocol.Replicate)
+	if !ok {
+		return nil, fmt.Errorf("journal: record holds %T, not a Replicate", m)
+	}
+	return rep, nil
 }
 
 // appendRecord seals one marshaled payload into record framing.
@@ -326,24 +353,30 @@ func (l *Log) Append(m *protocol.Replicate) error {
 		return fmt.Errorf("journal: appending to %s: %w", l.path, err)
 	}
 	l.size += int64(len(rec))
-	l.window = append(l.window, m)
+	l.window = append(l.window, record{version: m.Version, payload: rec[recordHeader:]})
 	return nil
 }
 
 // Window returns the journaled records with Version > sinceVer, in
 // append order — the frames a catch-up or replay needs on top of a
-// copy at sinceVer. The returned messages are shallow copies: callers
-// may re-stamp routing fields (Epoch, From) without disturbing the
-// journal's own view.
+// copy at sinceVer. Each call decodes fresh messages, so callers may
+// re-stamp routing fields (Epoch, From) or apply the diffs without
+// disturbing the journal. Every record was decoded once before it
+// entered the window; one that somehow fails to decode ends the
+// window, as a torn record ends a log.
 func (l *Log) Window(sinceVer uint32) []*protocol.Replicate {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []*protocol.Replicate
 	for _, rec := range l.window {
-		if rec.Version > sinceVer {
-			cp := *rec
-			out = append(out, &cp)
+		if rec.version <= sinceVer {
+			continue
 		}
+		rep, err := decodeRecord(rec.payload)
+		if err != nil {
+			break
+		}
+		out = append(out, rep)
 	}
 	return out
 }
@@ -376,12 +409,12 @@ func (l *Log) Compact(baseVersion uint32, sealedBase []byte) error {
 	if err := writeAtomic(l.basePath, sealedBase); err != nil {
 		return err
 	}
-	var kept []*protocol.Replicate
+	var kept []record
 	var buf []byte
 	for _, rec := range l.window {
-		if rec.Version > baseVersion {
+		if rec.version > baseVersion {
 			kept = append(kept, rec)
-			buf = appendRecord(buf, protocol.MarshalMessage(make([]byte, 0, 256), rec))
+			buf = appendRecord(buf, rec.payload)
 		}
 	}
 	if err := l.swapLog(buf); err != nil {

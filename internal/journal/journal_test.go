@@ -73,6 +73,13 @@ func TestAppendWindowReload(t *testing.T) {
 	if l.Size() <= 0 {
 		t.Fatal("Size reports empty after appends")
 	}
+	// Window decodes fresh messages: a caller mutating one leaves the
+	// journal's record alone.
+	w1 := l.Window(2)
+	w1[0].Epoch, w1[0].Applied[0].WriterID = 99, "changed"
+	if again := l.Window(2); again[0].Epoch == 99 || again[0].Applied[0].WriterID != "w" {
+		t.Fatal("mutating a Window record changed the journal's window")
+	}
 
 	// A fresh store over the same directory sees the same records.
 	s2 := openStore(t, dir)

@@ -43,7 +43,7 @@ type pendingRelease struct {
 	// notifications are the subscriber sends this release's
 	// updateSubscribers pass produced; the flusher runs them (the
 	// notified flag already dedups within a batch).
-	notifications []func()
+	notifications []notice
 	// done is closed by the flusher once the covering flush finished;
 	// jerr/replErr are valid after that.
 	done    chan struct{}
@@ -57,7 +57,7 @@ type pendingRelease struct {
 // formally holds the write lock — it is handed off here, before the
 // flush, which is what lets the next writer overlap with this
 // release's durability fan-out.
-func (sess *session) finishReleaseGrouped(st *segState, seg string, prevVer, version uint32, notifications []func()) protocol.Message {
+func (sess *session) finishReleaseGrouped(st *segState, seg string, prevVer, version uint32, notifications []notice) protocol.Message {
 	s := sess.srv
 	pr := &pendingRelease{
 		prevVer:       prevVer,
@@ -175,16 +175,14 @@ func (s *Server) runGroupFlush(st *segState) {
 			}
 			s.flight.Record(ev)
 		}
-		var notes []func()
+		var notes []notice
 		for _, pr := range batch {
 			notes = append(notes, pr.notifications...)
 		}
 		if s.ins != nil && len(notes) > 0 {
 			s.ins.notifications.Add(uint64(len(notes)))
 		}
-		for _, n := range notes {
-			n()
-		}
+		sendNotices(notes)
 		for _, pr := range batch {
 			pr.jerr, pr.replErr = jerr, replErr
 			close(pr.done)

@@ -131,8 +131,9 @@ func TestSLOChaosFlip(t *testing.T) {
 
 	// The fault: every replication chunk A sends is delayed well past
 	// the 256ms WriteUnlock objective bound, but only while the
-	// injecting flag is up — the Dial hook decides per connection, and
-	// cluster RPCs are one connection per call.
+	// injecting flag is up. Cluster RPCs reuse pooled connections, so
+	// the flag is checked on every write, not when a connection is
+	// dialed.
 	var injecting atomic.Bool
 	sched := faultnet.NewSchedule(faultnet.Rule{
 		Dir: faultnet.Down, Op: faultnet.OpDelay, Delay: 400 * time.Millisecond,
@@ -142,10 +143,7 @@ func TestSLOChaosFlip(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if injecting.Load() {
-			return faultnet.WrapConn(c, sched, 1), nil
-		}
-		return c, nil
+		return &switchedFaultConn{Conn: c, slow: faultnet.WrapConn(c, sched, 1), on: &injecting}, nil
 	}
 
 	nodeA := cluster.NewNode(cluster.Options{
@@ -236,6 +234,21 @@ func TestSLOChaosFlip(t *testing.T) {
 	if h.Status != HealthOK {
 		t.Fatalf("Health after heal = %q (%v), want ok", h.Status, h.Reasons)
 	}
+}
+
+// switchedFaultConn sends each write through slow while on is set and
+// straight to the connection otherwise.
+type switchedFaultConn struct {
+	net.Conn
+	slow net.Conn
+	on   *atomic.Bool
+}
+
+func (c *switchedFaultConn) Write(b []byte) (int, error) {
+	if c.on.Load() {
+		return c.slow.Write(b)
+	}
+	return c.Conn.Write(b)
 }
 
 // TestServerGaugesAndDebugSegments checks the scrape-time gauges

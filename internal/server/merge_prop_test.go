@@ -139,6 +139,9 @@ func TestMergeCachedDiffsProperty(t *testing.T) {
 				if _, _, err := master.ApplyDiff(d); err != nil {
 					t.Fatalf("step %d: %v", i, err)
 				}
+				if err := master.checkListSorted(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
 				images[master.Version] = master.encode()
 			}
 			want := segFingerprint(master)

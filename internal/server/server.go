@@ -147,12 +147,12 @@ type Server struct {
 	proxySessions int
 	// exemptSessions counts every admission-exempt session: proxy
 	// sessions plus cluster-plane RPC sessions (gossip/replication
-	// round trips on throwaway conns). Subtracted from the MaxSessions
+	// round trips on pooled peer conns). Subtracted from the MaxSessions
 	// admission count so infrastructure traffic neither consumes nor
 	// is refused client capacity.
 	exemptSessions int
-	ln            net.Listener
-	closed        bool
+	ln             net.Listener
+	closed         bool
 
 	// Resolved transport bounds (Options with defaults applied).
 	sessionSendQueue int
@@ -887,7 +887,7 @@ func (sess *session) handleWriteUnlock(m *protocol.WriteUnlock, sp *obs.Span) pr
 	}
 	prevVer := st.seg.Version
 	version := prevVer
-	var notifications []func()
+	var notifications []notice
 	if m.Diff != nil && !m.Diff.Empty() {
 		var start time.Time
 		if s.ins != nil {
@@ -971,9 +971,7 @@ func (sess *session) handleWriteUnlock(m *protocol.WriteUnlock, sp *obs.Span) pr
 		if nsp != nil {
 			nsp.AttrInt("subscribers", int64(len(notifications)))
 		}
-		for _, n := range notifications {
-			n()
-		}
+		sendNotices(notifications)
 		nsp.End()
 	}
 	if jerr != nil {
@@ -1011,10 +1009,10 @@ func (sess *session) handleResume(m *protocol.Resume) protocol.Message {
 }
 
 // updateSubscribers advances subscription counters after a new
-// version and returns the notification sends to perform once the
-// segment lock is released. Called with st.mu held.
-func updateSubscribers(st *segState, writer *session, newVer uint32, modified int) []func() {
-	var out []func()
+// version and returns the notifications to send once the segment lock
+// is released. Called with st.mu held.
+func updateSubscribers(st *segState, writer *session, newVer uint32, modified int) []notice {
+	var out []notice
 	seg := st.seg
 	for cl, sub := range st.subs {
 		if cl == writer {
@@ -1030,15 +1028,24 @@ func updateSubscribers(st *segState, writer *session, newVer uint32, modified in
 		}
 		if sub.policy.ShouldUpdate(sub.haveVersion, newVer, sub.unitsSince, seg.TotalUnits()) {
 			sub.notified = true
-			target, name := cl, st.name
-			out = append(out, func() {
-				// Never blocks: a slow consumer is shed, not buffered
-				// (DESIGN.md §10).
-				target.sendNotify(&protocol.Notify{Seg: name, Version: newVer})
-			})
+			out = append(out, notice{cl, &protocol.Notify{Seg: st.name, Version: newVer}})
 		}
 	}
 	return out
+}
+
+// notice is one Notify a new version owes a subscriber.
+type notice struct {
+	target *session
+	m      *protocol.Notify
+}
+
+// sendNotices sends ns. Never blocks: a slow consumer is shed, not
+// buffered (DESIGN.md §10).
+func sendNotices(ns []notice) {
+	for _, n := range ns {
+		n.target.sendNotify(n.m)
+	}
 }
 
 func (sess *session) handleSubscribe(m *protocol.Subscribe) protocol.Message {
@@ -1052,11 +1059,25 @@ func (sess *session) handleSubscribe(m *protocol.Subscribe) protocol.Message {
 	}
 	sess.touch(st)
 	s.lockSeg(st)
-	defer st.mu.Unlock()
 	if sess.gone() {
+		st.mu.Unlock()
 		return errSessionClosed()
 	}
-	st.subs[sess] = &subState{policy: m.Policy, haveVersion: m.HaveVersion}
+	sub := &subState{policy: m.Policy, haveVersion: m.HaveVersion}
+	st.subs[sess] = sub
+	why := ""
+	if cur := st.residentVersionLocked(); m.Policy.Model == coherence.ModelFull && m.HaveVersion < cur {
+		// A release landed between the subscriber's last read and this
+		// Subscribe. Notify it now, ahead of the Ack on its connection,
+		// or it would trust its stale copy until the next release.
+		sub.notified = true
+		why = sess.queueNotify(&protocol.Notify{Seg: m.Seg, Version: cur})
+	}
+	st.mu.Unlock()
+	if why != "" {
+		sess.shed(why) // shedding locks segments, so only after the unlock
+		return errSessionClosed()
+	}
 	return &protocol.Ack{}
 }
 

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"interweave/internal/cluster"
 	"interweave/internal/coherence"
+	"interweave/internal/faultnet"
 	"interweave/internal/protocol"
 	"interweave/internal/wire"
 )
@@ -13,7 +17,7 @@ import (
 // rawClient speaks the protocol directly, for testing the server's
 // network layer without the client library in the way.
 type rawClient struct {
-	t    *testing.T
+	t    testing.TB
 	conn net.Conn
 	next uint32
 }
@@ -33,7 +37,7 @@ func startTestServer(t *testing.T, opts Options) (*Server, string) {
 	return srv, ln.Addr().String()
 }
 
-func dialRaw(t *testing.T, addr string) *rawClient {
+func dialRaw(t testing.TB, addr string) *rawClient {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
@@ -79,7 +83,7 @@ func (rc *rawClient) mustAck(m protocol.Message) {
 	}
 }
 
-func intCreateDiff(t *testing.T, serial uint32, vals ...uint32) *wire.SegmentDiff {
+func intCreateDiff(t testing.TB, serial uint32, vals ...uint32) *wire.SegmentDiff {
 	return intsDiff(t, 1, serial, len(vals), "", vals...)
 }
 
@@ -273,6 +277,37 @@ func TestNotificationDelivery(t *testing.T) {
 	}
 }
 
+// TestLateSubscribeNotified checks that a Subscribe whose HaveVersion
+// is already behind is notified at once, before its Ack: a release
+// that landed between the subscriber's last read and its Subscribe
+// would otherwise leave it trusting a stale copy until the next one.
+func TestLateSubscribeNotified(t *testing.T) {
+	_, addr := startTestServer(t, Options{})
+	w := dialRaw(t, addr)
+	w.call(&protocol.OpenSegment{Name: "s", Create: true})
+	w.call(&protocol.WriteLock{Seg: "s", Policy: coherence.Full()})
+	w.call(&protocol.WriteUnlock{Seg: "s", Diff: intCreateDiff(t, 1, 1)})
+	w.call(&protocol.WriteLock{Seg: "s", Policy: coherence.Full()})
+	w.call(&protocol.WriteUnlock{Seg: "s", Diff: runDiff(1, 0, 9)})
+
+	late := dialRaw(t, addr)
+	late.call(&protocol.OpenSegment{Name: "s", Create: false})
+	reply, notes := late.call(&protocol.Subscribe{Seg: "s", HaveVersion: 1, Policy: coherence.Full()})
+	if _, ok := reply.(*protocol.Ack); !ok {
+		t.Fatalf("Subscribe reply = %+v, want Ack", reply)
+	}
+	if len(notes) != 1 || notes[0].Version != 2 {
+		t.Fatalf("notifications before the Ack = %+v, want one Notify of v2", notes)
+	}
+
+	// A subscriber that is current gets no notification.
+	cur := dialRaw(t, addr)
+	cur.call(&protocol.OpenSegment{Name: "s", Create: false})
+	if _, notes := cur.call(&protocol.Subscribe{Seg: "s", HaveVersion: 2, Policy: coherence.Full()}); len(notes) != 0 {
+		t.Fatalf("current subscriber notified: %+v", notes)
+	}
+}
+
 func TestUnsubscribeStopsNotifications(t *testing.T) {
 	_, addr := startTestServer(t, Options{})
 	w := dialRaw(t, addr)
@@ -290,6 +325,129 @@ func TestUnsubscribeStopsNotifications(t *testing.T) {
 	if _, msg, err := protocol.ReadFrame(r.conn); err == nil {
 		t.Fatalf("notification after unsubscribe: %+v", msg)
 	}
+}
+
+// TestTxNotifiesPrecedePartUnlock checks that a transaction queues its
+// Notifies before its part locks drop. A subscriber whose read lock
+// shows one part's new version must already have been sent the Notify
+// of the other part, or it would combine the new part with its stale
+// copy of the other. The commit replicates to a slowed peer after
+// unlocking its parts, which holds that window open for 400 ms.
+func TestTxNotifiesPrecedePartUnlock(t *testing.T) {
+	lnA, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lnB, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrA, addrB := lnA.Addr().String(), lnB.Addr().String()
+	var injecting atomic.Bool
+	sched := faultnet.NewSchedule(faultnet.Rule{
+		Dir: faultnet.Down, Op: faultnet.OpDelay, Delay: 400 * time.Millisecond,
+	})
+	dial := func(addr string) (net.Conn, error) {
+		c, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err != nil {
+			return nil, err
+		}
+		return &switchedFaultConn{Conn: c, slow: faultnet.WrapConn(c, sched, 1), on: &injecting}, nil
+	}
+	nodeA := cluster.NewNode(cluster.Options{
+		Self: addrA, Peers: []string{addrB}, Replicas: 1,
+		DialTimeout: 5 * time.Second, Dial: dial, Logf: t.Logf,
+	})
+	nodeB := cluster.NewNode(cluster.Options{
+		Self: addrB, Peers: []string{addrA}, Replicas: 1,
+		DialTimeout: 5 * time.Second, Logf: t.Logf,
+	})
+	srvA, err := New(Options{Cluster: nodeA, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvB, err := New(Options{Cluster: nodeB, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srvA.Serve(lnA) }()
+	go func() { _ = srvB.Serve(lnB) }()
+	t.Cleanup(func() {
+		nodeA.Close()
+		nodeB.Close()
+		_ = srvA.Close()
+		_ = srvB.Close()
+	})
+	var segs []string
+	for i := 0; i < 256 && len(segs) < 2; i++ {
+		if name := fmt.Sprintf("tx-%d", i); nodeA.IsOwner(name) {
+			segs = append(segs, name)
+		}
+	}
+	if len(segs) < 2 {
+		t.Fatal("node A owns fewer than 2 of 256 candidate segments")
+	}
+	sa, sb := segs[0], segs[1]
+
+	w := dialRaw(t, addrA)
+	r := dialRaw(t, addrA)
+	for _, seg := range segs {
+		w.call(&protocol.OpenSegment{Name: seg, Create: true})
+		w.call(&protocol.WriteLock{Seg: seg, Policy: coherence.Full()})
+		if reply, _ := w.call(&protocol.WriteUnlock{Seg: seg, Diff: intCreateDiff(t, 1, 1)}); !isVersion(reply, 1) {
+			t.Fatalf("create %s = %+v", seg, reply)
+		}
+		r.call(&protocol.OpenSegment{Name: seg, Create: false})
+		r.mustAck(&protocol.Subscribe{Seg: seg, HaveVersion: 1, Policy: coherence.Full()})
+	}
+
+	w.call(&protocol.WriteLock{Seg: sa, Policy: coherence.Full()})
+	w.call(&protocol.WriteLock{Seg: sb, Policy: coherence.Full()})
+	injecting.Store(true)
+	committed := make(chan protocol.Message, 1)
+	go func() {
+		_ = protocol.WriteFrame(w.conn, 100, &protocol.TxCommit{Parts: []protocol.WriteUnlock{
+			{Seg: sa, Diff: runDiff(1, 0, 2)},
+			{Seg: sb, Diff: runDiff(1, 0, 2)},
+		}})
+		_, msg, _ := protocol.ReadFrame(w.conn)
+		committed <- msg
+	}()
+
+	var heard []*protocol.Notify
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		reply, notes := r.call(&protocol.ReadLock{Seg: sa, HaveVersion: 1, Policy: coherence.Full()})
+		heard = append(heard, notes...)
+		lr, ok := reply.(*protocol.LockReply)
+		if !ok {
+			t.Fatalf("read lock reply = %+v", reply)
+		}
+		if !lr.Fresh {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("read lock never showed the commit")
+		}
+	}
+	select {
+	case msg := <-committed:
+		t.Fatalf("commit answered (%+v) before the read saw it; the window was not held open", msg)
+	default:
+	}
+	for _, n := range heard {
+		if n.Seg == sb && n.Version == 2 {
+			<-committed
+			return
+		}
+	}
+	t.Fatalf("read lock showed %s new before the Notify of %s (heard %+v)", sa, sb, heard)
+}
+
+// isVersion reports whether reply is a VersionReply of version v.
+func isVersion(reply protocol.Message, v uint32) bool {
+	vr, ok := reply.(*protocol.VersionReply)
+	return ok && vr.Version == v
 }
 
 func TestTxCommitRaw(t *testing.T) {

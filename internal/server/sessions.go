@@ -320,9 +320,9 @@ func (s *Server) markProxySession(sess *session) {
 
 // isClusterFrame reports whether msg is a cluster-plane RPC
 // (gossip, replication, migration). A session created by one of these
-// is a peer server's or proxy's infrastructure round trip — often on a
-// throwaway connection — not client load, so it bypasses MaxSessions
-// admission and does not consume the budget.
+// carries a peer server's or proxy's infrastructure round trips —
+// usually on a pooled peer connection — not client load, so it
+// bypasses MaxSessions admission and does not consume the budget.
 func isClusterFrame(msg protocol.Message) bool {
 	switch msg.(type) {
 	case *protocol.RingGet, *protocol.RingPush, *protocol.Replicate,
@@ -398,14 +398,22 @@ func (sess *session) send(id uint32, m protocol.Message) error {
 // as after a reconnect). For the implicit session the connection IS
 // the session, so the whole connection goes.
 func (sess *session) sendNotify(m protocol.Message) {
+	if why := sess.queueNotify(m); why != "" {
+		sess.shed(why)
+	}
+}
+
+// queueNotify is sendNotify without the eviction: it reports why the
+// session must be shed, or "" when m was queued or the session is
+// already gone. It takes no segment lock, so a caller may hold some.
+func (sess *session) queueNotify(m protocol.Message) string {
 	s := sess.srv
 	if sess.gone() {
-		return
+		return ""
 	}
 	wc := sess.wc
 	if int(sess.queued.Load()) >= s.sessionSendQueue {
-		sess.shed("session queue bound")
-		return
+		return "session queue bound"
 	}
 	sess.queued.Add(1)
 	select {
@@ -414,8 +422,9 @@ func (sess *session) sendNotify(m protocol.Message) {
 		sess.queued.Add(-1)
 	default:
 		sess.queued.Add(-1)
-		sess.shed("connection queue full")
+		return "connection queue full"
 	}
+	return ""
 }
 
 // shed counts one shed notification and evicts the slow consumer.

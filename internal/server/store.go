@@ -99,7 +99,10 @@ type freedEntry struct {
 // listElem is a node of the blk_version_list: a doubly linked list of
 // markers and blocks ordered by version. Markers separate sublists of
 // blocks having the same version; all blocks after the marker for
-// version v were last modified at version >= v.
+// version v were last modified at version >= v. A marker whose
+// sublist empties is dropped as soon as another marker follows it, so
+// the list holds at most one marker per block plus one trailing
+// marker — O(blocks), not O(versions).
 type listElem struct {
 	prev, next *listElem
 	blk        *Blk   // nil for markers and sentinels
@@ -210,6 +213,42 @@ func (s *Segment) unlink(e *listElem) {
 	e.prev, e.next = nil, nil
 }
 
+// isMarker reports whether e is a marker rather than a block or a
+// sentinel.
+func (s *Segment) isMarker(e *listElem) bool {
+	return e.blk == nil && e != s.head && e != s.tail
+}
+
+// dropMarker removes marker m from the list and the marker tree.
+func (s *Segment) dropMarker(m *listElem) {
+	s.unlink(m)
+	if cur, ok := s.markers.Get(m.marker); ok && cur == m {
+		s.markers.Delete(m.marker)
+	}
+}
+
+// pushMarker appends the marker for version v, first dropping the
+// trailing marker if no block followed it.
+func (s *Segment) pushMarker(v uint32) {
+	if last := s.tail.prev; s.isMarker(last) {
+		s.dropMarker(last)
+	}
+	m := &listElem{marker: v}
+	s.pushBack(m)
+	s.markers.Put(v, m)
+}
+
+// unlinkBlock removes a block's node from the list. A marker left
+// with an empty sublist is dropped when another marker follows it; a
+// trailing one stays until the next pushMarker.
+func (s *Segment) unlinkBlock(b *Blk) {
+	prev, next := b.elem.prev, b.elem.next
+	s.unlink(b.elem)
+	if s.isMarker(prev) && s.isMarker(next) {
+		s.dropMarker(prev)
+	}
+}
+
 // registerDesc registers descriptor bytes, deduplicating by content,
 // and returns the global serial.
 func (s *Segment) registerDesc(b []byte) (uint32, error) {
@@ -290,8 +329,6 @@ func (s *Segment) applyDiffAt(d *wire.SegmentDiff, v uint32) (uint32, int, error
 		d.Descs[i].Bytes = s.descs[global]
 	}
 
-	marker := &listElem{marker: v}
-
 	// Validate everything before mutating list/tree state so a bad
 	// diff cannot leave the segment half-updated.
 	for i := range d.News {
@@ -315,8 +352,7 @@ func (s *Segment) applyDiffAt(d *wire.SegmentDiff, v uint32) (uint32, int, error
 		}
 	}
 
-	s.pushBack(marker)
-	s.markers.Put(v, marker)
+	s.pushMarker(v)
 
 	for i := range d.News {
 		nb := &d.News[i]
@@ -358,7 +394,7 @@ func (s *Segment) applyDiffAt(d *wire.SegmentDiff, v uint32) (uint32, int, error
 		if b.Name != "" {
 			delete(s.byName, b.Name)
 		}
-		s.unlink(b.elem)
+		s.unlinkBlock(b)
 		s.totalUnits -= b.Units()
 		s.freedLog = append(s.freedLog, freedEntry{version: v, serial: serial})
 	}
@@ -381,7 +417,7 @@ func (s *Segment) applyDiffAt(d *wire.SegmentDiff, v uint32) (uint32, int, error
 		}
 		if b.version != v {
 			b.version = v
-			s.unlink(b.elem)
+			s.unlinkBlock(b)
 			s.pushBack(b.elem)
 		}
 	}
@@ -810,29 +846,47 @@ func (s *Segment) versionListOrder() []uint32 {
 	return out
 }
 
-// checkListSorted verifies the version-list invariant (for tests):
-// block versions are non-decreasing along the list, and every marker
-// precedes exactly the blocks with version >= its own.
+// checkListSorted verifies the version-list invariants (for tests):
+// versions are non-decreasing along the list, the marker tree holds
+// exactly the list's markers, every marker except the last precedes at
+// least one block, and there is at most one marker per block plus one.
 func (s *Segment) checkListSorted() error {
 	prev := uint32(0)
+	var listMarkers []*listElem
 	for e := s.head.next; e != s.tail; e = e.next {
 		v := e.marker
 		if e.blk != nil {
 			v = e.blk.version
+		} else {
+			if s.isMarker(e.prev) {
+				return fmt.Errorf("marker %d precedes no block", e.prev.marker)
+			}
+			listMarkers = append(listMarkers, e)
 		}
 		if v < prev {
 			return fmt.Errorf("version list out of order: %d after %d", v, prev)
 		}
 		prev = v
 	}
-	// markers tree matches list membership.
-	var fromTree []uint32
-	s.markers.Ascend(func(v uint32, _ *listElem) bool {
-		fromTree = append(fromTree, v)
+	// The markers tree matches list membership.
+	if s.markers.Len() != len(listMarkers) {
+		return fmt.Errorf("marker tree holds %d markers, list %d", s.markers.Len(), len(listMarkers))
+	}
+	i := 0
+	var err error
+	s.markers.Ascend(func(v uint32, m *listElem) bool {
+		if m != listMarkers[i] || v != m.marker {
+			err = fmt.Errorf("marker tree entry %d (version %d) is not list marker %d", i, v, listMarkers[i].marker)
+			return false
+		}
+		i++
 		return true
 	})
-	if !sort.SliceIsSorted(fromTree, func(i, j int) bool { return fromTree[i] < fromTree[j] }) {
-		return errors.New("marker tree out of order")
+	if err != nil {
+		return err
+	}
+	if s.markers.Len() > s.blocks.Len()+1 {
+		return fmt.Errorf("%d markers for %d blocks", s.markers.Len(), s.blocks.Len())
 	}
 	return nil
 }

@@ -7,7 +7,7 @@ import (
 	"interweave/internal/wire"
 )
 
-func intDescBytes(t *testing.T) []byte {
+func intDescBytes(t testing.TB) []byte {
 	t.Helper()
 	b, err := types.Marshal(types.Int32())
 	if err != nil {
@@ -43,7 +43,7 @@ func mixDescBytes(t *testing.T) []byte {
 
 // intsDiff builds a creation diff: one block of n int32s with values
 // vals (padded with zeros).
-func intsDiff(t *testing.T, descLocal, serial uint32, n int, name string, vals ...uint32) *wire.SegmentDiff {
+func intsDiff(t testing.TB, descLocal, serial uint32, n int, name string, vals ...uint32) *wire.SegmentDiff {
 	t.Helper()
 	data := make([]byte, 0, n*4)
 	for i := 0; i < n; i++ {
@@ -264,6 +264,55 @@ func TestVersionListTailMovement(t *testing.T) {
 	}
 	if err := s.checkListSorted(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestVersionListBoundedByBlocks rewrites one block 10 000 times next
+// to a static one: empty markers are pruned, so the version list stays
+// at one marker per block, and incremental collection still matches a
+// checkpoint-restored copy, whose list has exactly that shape.
+func TestVersionListBoundedByBlocks(t *testing.T) {
+	s := NewSegment("h/s")
+	if _, _, err := s.ApplyDiff(intsDiff(t, 1, 1, 64, "hot")); err != nil { // v1
+		t.Fatal(err)
+	}
+	if _, _, err := s.ApplyDiff(intsDiff(t, 1, 2, 64, "static")); err != nil { // v2
+		t.Fatal(err)
+	}
+	const rewrites = 10000
+	for i := 0; i < rewrites; i++ {
+		if _, _, err := s.ApplyDiff(runDiff(1, uint32(i%64), uint32(i))); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.markers.Len(); n > 2 {
+			t.Fatalf("after rewrite %d: %d markers, want <= 2", i, n)
+		}
+		if i%1000 == 0 {
+			if err := s.checkListSorted(); err != nil {
+				t.Fatalf("after rewrite %d: %v", i, err)
+			}
+		}
+	}
+	if err := s.checkListSorted(); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := decodeSegment(s.encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := s.Version
+	for _, since := range []uint32{0, 1, 2, 3, 100, last - 64, last - 63, last - 2, last - 1, last} {
+		want, err := restored.collectFull(since)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.collectFull(since)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (got == nil) != (want == nil) || (got != nil && string(got.Marshal(nil)) != string(want.Marshal(nil))) {
+			t.Errorf("collectFull(%d) differs from the restored copy's", since)
+		}
 	}
 }
 

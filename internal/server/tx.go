@@ -134,8 +134,8 @@ func (sess *session) handleTxCommit(m *protocol.TxCommit, sp *obs.Span) protocol
 		stage[i] = staged{clone: clone, version: newVer, modified: modified}
 	}
 
-	// Commit: retake the locks (same order), swap the clones in,
-	// replicate, release the write locks, gather notifications. In
+	// Commit: retake the locks (same order), swap the clones in, queue
+	// the notifications, replicate, release the write locks. In
 	// cluster mode each advanced part streams to its replicas before
 	// the locks drop and before the client sees the commit, preserving
 	// the replicate-before-acknowledge invariant of the single-segment
@@ -156,7 +156,7 @@ func (sess *session) handleTxCommit(m *protocol.TxCommit, sp *obs.Span) protocol
 		st  *segState
 		rep *protocol.Replicate
 	}
-	var notifications []func()
+	var notifications []notice
 	var jobs []*replicationJob
 	var jparts []journalPart
 	for i := range m.Parts {
@@ -187,6 +187,21 @@ func (sess *session) handleTxCommit(m *protocol.TxCommit, sp *obs.Span) protocol
 			}
 		}
 		reply.Versions[i] = stage[i].version
+	}
+	// Queue every part's Notifies before any part lock drops. A
+	// subscriber granted a read lock on one part from here on gets its
+	// reply behind the Notifies of all parts on its connection, so it
+	// cannot see one part new and trust its stale copy of another.
+	// Shedding locks segments, so it waits until the parts are unlocked.
+	type shedding struct {
+		sess *session
+		why  string
+	}
+	var shed []shedding
+	for _, n := range notifications {
+		if why := n.target.queueNotify(n.m); why != "" {
+			shed = append(shed, shedding{n.target, why})
+		}
 	}
 	var replErr error
 	var fencedSeg string
@@ -230,8 +245,8 @@ func (sess *session) handleTxCommit(m *protocol.TxCommit, sp *obs.Span) protocol
 	if s.ins != nil && len(notifications) > 0 {
 		s.ins.notifications.Add(uint64(len(notifications)))
 	}
-	for _, n := range notifications {
-		n()
+	for _, sh := range shed {
+		sh.sess.shed(sh.why)
 	}
 	if jerr != nil {
 		return errReply(protocol.CodeInternal, "transaction part %q not journaled: %v", jerrSeg, jerr)
