@@ -14,6 +14,7 @@
 package diff
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -101,14 +102,36 @@ func CollectSegment(seg *mem.SegMem, opts CollectOptions) (*wire.SegmentDiff, er
 	d := &wire.SegmentDiff{Version: opts.Version, Freed: opts.Freed}
 	c.out = d
 
-	// Pending (newly created) blocks: announce and send whole.
+	// Pending (newly created) blocks travel whole; in no-diff mode
+	// every block does. Everything else is word-diffed against twins.
 	var pending []*mem.Block
+	local := 0 // local bytes the runs will translate
 	seg.Blocks(func(b *mem.Block) bool {
 		if b.Pending {
 			pending = append(pending, b)
 		}
+		if b.Pending || opts.NoDiff {
+			local += b.Size()
+		}
 		return true
 	})
+	var intervals []interval
+	if !opts.NoDiff {
+		start := time.Now()
+		intervals = c.wordDiff()
+		if opts.Stats != nil {
+			opts.Stats.WordDiff += time.Since(start)
+		}
+		for _, iv := range intervals {
+			local += iv.hi - iv.lo
+		}
+	}
+	// Every run's wire data is appended to one arena. Fixed-width
+	// units keep their local size on the wire; strings gain a length
+	// prefix and pointers become MIPs, so twice the local bytes rarely
+	// needs to grow.
+	c.arena = make([]byte, 0, 2*local+arenaSlack)
+
 	for _, b := range pending {
 		d.News = append(d.News, wire.NewBlock{
 			Serial:     b.Serial,
@@ -137,13 +160,7 @@ func CollectSegment(seg *mem.SegMem, opts CollectOptions) (*wire.SegmentDiff, er
 			return nil, err
 		}
 	} else {
-		// Word-by-word twin comparison over modified pages.
 		start := time.Now()
-		intervals := c.wordDiff()
-		if opts.Stats != nil {
-			opts.Stats.WordDiff += time.Since(start)
-		}
-		start = time.Now()
 		for _, iv := range intervals {
 			if err := c.translateInterval(iv); err != nil {
 				return nil, err
@@ -184,49 +201,104 @@ type collector struct {
 	out    *wire.SegmentDiff
 	diffs  map[uint32]int // block serial -> index in out.Blocks
 	splice int
+	// arena backs every run's Data; each run is a capacity-capped
+	// sub-slice, so appending to one can never reach its neighbour.
+	arena []byte
 }
+
+// arenaSlack is added to the arena's size estimate so that a tiny
+// diff carrying a MIP or a short string still fits without growing.
+const arenaSlack = 256
+
+// chunkBytes is the width of the fast-path twin comparison: equal
+// 32-byte chunks, then equal 8-byte words, are skipped whole, and only
+// a differing 8-byte word is compared at the paper's 4-byte word
+// granularity.
+const chunkBytes = 32
 
 // wordDiff scans the pagemaps and produces spliced modified byte
 // intervals in address order.
 func (c *collector) wordDiff() []interval {
-	var out []interval
+	sp := splicer{splice: c.splice}
 	for _, mr := range c.seg.ModifiedRanges() {
-		ss := mr.Sub
-		base := mr.FirstPage << arch.PageShift
-		words := mr.NumPages * arch.PageWords
-		// Runs of changed words with gaps <= splice absorbed.
-		runStart := -1
-		lastChanged := -1
-		flush := func() {
-			if runStart >= 0 {
-				out = append(out, interval{
-					sub: ss,
-					lo:  base + runStart*arch.WordBytes,
-					hi:  base + (lastChanged+1)*arch.WordBytes,
-				})
-				runStart = -1
-			}
-		}
-		for w := 0; w < words; w++ {
-			pg := mr.FirstPage + (w / arch.PageWords)
-			twin := ss.Twin(pg)
-			off := (base + w*arch.WordBytes) & (arch.PageSize - 1)
-			cur := binary.NativeEndian.Uint32(ss.Data[base+w*arch.WordBytes:])
-			old := binary.NativeEndian.Uint32(twin[off:])
-			if cur == old {
-				if runStart >= 0 && w-lastChanged > c.splice {
-					flush()
+		sp.begin(mr.Sub, mr.FirstPage<<arch.PageShift)
+		for p := 0; p < mr.NumPages; p++ {
+			twin := mr.Sub.Twin(mr.FirstPage + p)
+			off := (mr.FirstPage + p) << arch.PageShift
+			page := mr.Sub.Data[off : off+arch.PageSize]
+			w0 := p * arch.PageWords
+			for o := 0; o < arch.PageSize; o += chunkBytes {
+				cur := page[o : o+chunkBytes : o+chunkBytes]
+				old := twin[o : o+chunkBytes : o+chunkBytes]
+				w := w0 + o/arch.WordBytes
+				if u64(cur) == u64(old) && u64(cur[8:]) == u64(old[8:]) &&
+					u64(cur[16:]) == u64(old[16:]) && u64(cur[24:]) == u64(old[24:]) {
+					// The gap test only gets more true as w grows, so
+					// testing the chunk's last word alone closes the
+					// same runs as testing every word.
+					sp.same(w + chunkBytes/arch.WordBytes - 1)
+					continue
 				}
-				continue
+				for i := 0; i < chunkBytes; i += 8 {
+					if u64(cur[i:]) == u64(old[i:]) {
+						sp.same(w + i/arch.WordBytes + 1)
+						continue
+					}
+					for j := i; j < i+8; j += arch.WordBytes {
+						if u32(cur[j:]) == u32(old[j:]) {
+							sp.same(w + j/arch.WordBytes)
+						} else {
+							sp.changed(w + j/arch.WordBytes)
+						}
+					}
+				}
 			}
-			if runStart < 0 {
-				runStart = w
-			}
-			lastChanged = w
 		}
-		flush()
+		sp.flush()
 	}
-	return out
+	return sp.out
+}
+
+func u64(b []byte) uint64 { return binary.NativeEndian.Uint64(b) }
+func u32(b []byte) uint32 { return binary.NativeEndian.Uint32(b) }
+
+// splicer turns a word-by-word changed/unchanged sequence over one
+// modified range into intervals, absorbing gaps of at most splice
+// unchanged words. Words are indexed from the range's first byte.
+type splicer struct {
+	out         []interval
+	sub         *mem.SubSeg
+	base        int // byte offset of word 0 within sub
+	splice      int
+	first, last int // open run's first and last changed word; first < 0 when none
+}
+
+func (s *splicer) begin(sub *mem.SubSeg, base int) {
+	s.sub, s.base, s.first = sub, base, -1
+}
+
+func (s *splicer) changed(w int) {
+	if s.first < 0 {
+		s.first = w
+	}
+	s.last = w
+}
+
+func (s *splicer) same(w int) {
+	if s.first >= 0 && w-s.last > s.splice {
+		s.flush()
+	}
+}
+
+func (s *splicer) flush() {
+	if s.first >= 0 {
+		s.out = append(s.out, interval{
+			sub: s.sub,
+			lo:  s.base + s.first*arch.WordBytes,
+			hi:  s.base + (s.last+1)*arch.WordBytes,
+		})
+		s.first = -1
+	}
 }
 
 // translateInterval maps one modified byte interval onto the blocks
@@ -359,8 +431,8 @@ func (c *collector) translateUnits(b *mem.Block, u0, u1 int) ([]byte, error) {
 	}
 	l := b.Layout
 	order := c.prof.Order
-	// Pre-size for the common fixed-width case.
-	buf := make([]byte, 0, (u1-u0)*4)
+	start := len(c.arena)
+	buf := c.arena
 	err = forUnits(l, u0, u1, func(k types.Kind, strCap, absByte, n, stride int) error {
 		switch k {
 		case types.KindChar:
@@ -409,15 +481,14 @@ func (c *collector) translateUnits(b *mem.Block, u0, u1 int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buf, nil
+	c.arena = buf
+	return buf[start:len(buf):len(buf)], nil
 }
 
 // cstr trims a fixed-capacity string cell at its NUL terminator.
 func cstr(cell []byte) []byte {
-	for i, c := range cell {
-		if c == 0 {
-			return cell[:i]
-		}
+	if i := bytes.IndexByte(cell, 0); i >= 0 {
+		return cell[:i]
 	}
 	return cell
 }

@@ -83,7 +83,16 @@ func (ss *SubSeg) faultRange(off, n int) {
 		h := ss.Seg.heap
 		h.stats.Faults++
 		if ss.twins[p] == nil {
-			twin := make([]byte, arch.PageSize)
+			var twin []byte
+			if n := len(h.spareTwins); n > 0 {
+				twin = h.spareTwins[n-1]
+				h.spareTwins[n-1] = nil
+				h.spareTwins = h.spareTwins[:n-1]
+			} else {
+				twin = make([]byte, arch.PageSize)
+			}
+			// The copy overwrites the whole page, so a recycled twin
+			// keeps no bytes from its last use.
 			copy(twin, ss.Data[p<<arch.PageShift:(p+1)<<arch.PageShift])
 			ss.twins[p] = twin
 			h.stats.Twins++
@@ -114,12 +123,32 @@ func (s *SegMem) Unprotect() {
 	}
 }
 
-// DropTwins discards all twins after diff collection.
+// maxSpareTwins caps the heap's list of recycled twin pages (4 MiB).
+const maxSpareTwins = 1024
+
+// DropTwins discards all twins after diff collection. The pages go to
+// the heap's spare list for the next write faults to reuse, so the
+// caller must hold no twin slice past this call. The list keeps at
+// most as many pages as this call dropped, and never more than
+// maxSpareTwins.
 func (s *SegMem) DropTwins() {
+	h := s.heap
+	dropped := 0
 	for ss := s.first; ss != nil; ss = ss.Next {
-		for i := range ss.twins {
+		for i, twin := range ss.twins {
+			if twin == nil {
+				continue
+			}
+			dropped++
+			if len(h.spareTwins) < maxSpareTwins {
+				h.spareTwins = append(h.spareTwins, twin)
+			}
 			ss.twins[i] = nil
 		}
+	}
+	if keep := min(dropped, maxSpareTwins); len(h.spareTwins) > keep {
+		clear(h.spareTwins[keep:])
+		h.spareTwins = h.spareTwins[:keep]
 	}
 }
 

@@ -67,6 +67,9 @@ type Heap struct {
 	segs    map[string]*SegMem          // segment table
 	next    Addr
 	stats   Stats
+	// spareTwins holds twin pages released by DropTwins for reuse by
+	// later write faults.
+	spareTwins [][]byte
 }
 
 // NewHeap returns an empty heap whose local data formats follow prof.

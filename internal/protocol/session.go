@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"io"
 
 	"interweave/internal/wire"
@@ -87,10 +88,6 @@ var _ [1]struct{} = [TypeSessionClose - TypePullReply]struct{}{}
 // zero trace context produce a frame byte-identical to WriteFrame's,
 // so a peer that never multiplexes emits the classic format.
 func WriteFrameMux(w io.Writer, id uint32, m Message, tc TraceContext, sess uint32) error {
-	payload := m.encode(make([]byte, 0, 64))
-	if len(payload) > maxFrame {
-		return errFrameTooBig(len(payload))
-	}
 	typ := byte(m.Type())
 	extra := 0
 	if sess != 0 {
@@ -101,20 +98,51 @@ func WriteFrameMux(w io.Writer, id uint32, m Message, tc TraceContext, sess uint
 		typ |= typeTraceFlag
 		extra += traceCtxBytes
 	}
-	hdr := make([]byte, 0, 9+extra+len(payload))
-	hdr = wire.AppendU32(hdr, uint32(len(payload)+extra))
-	hdr = wire.AppendU32(hdr, id)
-	hdr = wire.AppendU8(hdr, typ)
+	// One buffer: the header, with its length patched once the
+	// payload is encoded after it.
+	hdrLen := 9 + extra
+	buf := make([]byte, hdrLen, hdrLen+payloadSizeHint(m))
+	buf = m.encode(buf)
+	payload := len(buf) - hdrLen
+	if payload > maxFrame {
+		return errFrameTooBig(payload)
+	}
+	be := binary.BigEndian
+	be.PutUint32(buf[0:], uint32(payload+extra))
+	be.PutUint32(buf[4:], id)
+	buf[8] = typ
+	opt := buf[9:hdrLen]
 	if sess != 0 {
-		hdr = wire.AppendU32(hdr, sess)
+		be.PutUint32(opt, sess)
+		opt = opt[sessIDBytes:]
 	}
 	if tc.Valid() {
-		hdr = wire.AppendU64(hdr, tc.TraceID)
-		hdr = wire.AppendU64(hdr, tc.SpanID)
+		be.PutUint64(opt, tc.TraceID)
+		be.PutUint64(opt[8:], tc.SpanID)
 	}
-	hdr = append(hdr, payload...)
-	if _, err := w.Write(hdr); err != nil {
+	if _, err := w.Write(buf); err != nil {
 		return errWritingFrame(err)
 	}
 	return nil
+}
+
+// payloadSizeHint returns the encoded payload size of the
+// diff-bearing messages, so their frame buffer is allocated once, and
+// a small starting size for every other message.
+func payloadSizeHint(m Message) int {
+	switch m := m.(type) {
+	case *WriteUnlock:
+		return 4 + len(m.Seg) + 4 + len(m.WriterID) + 4 + diffSize(m.Diff)
+	case *LockReply:
+		return 1 + diffSize(m.Diff)
+	}
+	return 64
+}
+
+// diffSize is the size appendDiff encodes d to.
+func diffSize(d *wire.SegmentDiff) int {
+	if d == nil {
+		return 1
+	}
+	return 1 + d.MarshalSize()
 }

@@ -164,6 +164,50 @@ func TestProtocolErrors(t *testing.T) {
 	}
 }
 
+// TestHugeNewBlockRejected sends a WriteUnlock whose one valid Int32
+// descriptor backs a NewBlock of 0xFFFFFFFF elements. Allocating its
+// cells would kill the process with a runtime out-of-memory fatal, so
+// the per-block unit cap must refuse it first: a CodeBadRequest reply,
+// the segment's version and bytes untouched, the server still serving.
+func TestHugeNewBlockRejected(t *testing.T) {
+	_, addr := startTestServer(t, Options{})
+	rc := dialRaw(t, addr)
+	rc.mustAck(&protocol.Hello{ClientName: "raw", Profile: "x86-32le"})
+	rc.call(&protocol.OpenSegment{Name: "s", Create: true})
+	rc.call(&protocol.WriteLock{Seg: "s", Policy: coherence.Full()})
+	if reply, _ := rc.call(&protocol.WriteUnlock{Seg: "s", Diff: intCreateDiff(t, 1, 7, 8, 9)}); reply.(*protocol.VersionReply).Version != 1 {
+		t.Fatalf("setup unlock reply = %+v", reply)
+	}
+	image := func(rc *rawClient) []byte {
+		t.Helper()
+		reply, _ := rc.call(&protocol.ReadLock{Seg: "s", Policy: coherence.Full()})
+		lr, ok := reply.(*protocol.LockReply)
+		if !ok || lr.Diff == nil || lr.Diff.Version != 1 {
+			t.Fatalf("read lock reply = %+v", reply)
+		}
+		rc.mustAck(&protocol.ReadUnlock{Seg: "s"})
+		return lr.Diff.Marshal(nil)
+	}
+	before := image(rc)
+
+	rc.call(&protocol.WriteLock{Seg: "s", HaveVersion: 1, Policy: coherence.Full()})
+	huge := &wire.SegmentDiff{
+		Descs: []wire.DescDef{{Serial: 1, Bytes: intDescBytes(t)}},
+		News:  []wire.NewBlock{{Serial: 2, DescSerial: 1, Count: 0xFFFFFFFF}},
+	}
+	reply, _ := rc.call(&protocol.WriteUnlock{Seg: "s", Diff: huge})
+	if e, ok := reply.(*protocol.ErrorReply); !ok || e.Code != protocol.CodeBadRequest {
+		t.Fatalf("huge new block = %+v, want CodeBadRequest", reply)
+	}
+
+	fresh := dialRaw(t, addr)
+	fresh.mustAck(&protocol.Hello{ClientName: "raw2", Profile: "x86-32le"})
+	fresh.call(&protocol.OpenSegment{Name: "s"})
+	if after := image(fresh); string(after) != string(before) {
+		t.Fatalf("segment image changed after a rejected diff:\n before %x\n after  %x", before, after)
+	}
+}
+
 func TestWriteLockQueueing(t *testing.T) {
 	_, addr := startTestServer(t, Options{})
 	a := dialRaw(t, addr)

@@ -30,6 +30,11 @@ import (
 // 16).
 const SubblockUnits = 16
 
+// maxBlockUnits caps the primitive units one block may hold. A
+// NewBlock's Count comes off the wire, and the block's cells are
+// allocated from it, so it is checked before any allocation.
+const maxBlockUnits = 1 << 24
+
 // defaultDiffCache is how many recent per-version diffs a segment
 // caches for forwarding.
 const defaultDiffCache = 8
@@ -344,6 +349,9 @@ func (s *Segment) applyDiffAt(d *wire.SegmentDiff, v uint32) (uint32, int, error
 		}
 		if nb.Count == 0 {
 			return 0, 0, fmt.Errorf("server: new block %d has zero count", nb.Serial)
+		}
+		if k := len(s.descKinds[nb.DescSerial]); uint64(k)*uint64(nb.Count) > maxBlockUnits {
+			return 0, 0, fmt.Errorf("server: new block %d of %d elements of %d units exceeds %d units", nb.Serial, nb.Count, k, maxBlockUnits)
 		}
 		if nb.Name != "" {
 			if _, ok := s.byName[nb.Name]; ok {
@@ -774,7 +782,7 @@ func (s *Segment) cacheDiff(v uint32, d *wire.SegmentDiff) {
 	if s.cacheCap <= 0 {
 		return
 	}
-	s.diffCache[v] = d.Marshal(nil)
+	s.diffCache[v] = d.Marshal(make([]byte, 0, d.MarshalSize()))
 	s.cacheKeys = append(s.cacheKeys, v)
 	for len(s.cacheKeys) > s.cacheCap {
 		delete(s.diffCache, s.cacheKeys[0])

@@ -49,6 +49,9 @@ func FuzzWireDecode(f *testing.F) {
 		// Whatever decoded must re-encode and decode to the same bytes
 		// — the decoder may not invent state it cannot represent.
 		out := d.Marshal(nil)
+		if d.MarshalSize() != len(out) {
+			t.Fatalf("MarshalSize = %d, encoding is %d bytes", d.MarshalSize(), len(out))
+		}
 		d2, err := UnmarshalSegmentDiff(out)
 		if err != nil {
 			t.Fatalf("re-decoding own encoding: %v", err)

@@ -244,7 +244,23 @@ func (d *SegmentDiff) Empty() bool {
 
 // WireSize returns the encoded size in bytes, the quantity Figure 7
 // reports as bandwidth.
-func (d *SegmentDiff) WireSize() int { return len(d.Marshal(nil)) }
+func (d *SegmentDiff) WireSize() int { return d.MarshalSize() }
+
+// MarshalSize returns exactly len(d.Marshal(nil)), without encoding.
+func (d *SegmentDiff) MarshalSize() int {
+	n := 5 * 4 // version and the four section counts
+	for i := range d.Descs {
+		n += 8 + len(d.Descs[i].Bytes)
+	}
+	for i := range d.News {
+		n += 16 + len(d.News[i].Name)
+	}
+	n += 4 * len(d.Freed)
+	for i := range d.Blocks {
+		n += 12 + d.Blocks[i].DataLen()
+	}
+	return n
+}
 
 // DataBytes returns the total run payload across every block diff,
 // without marshaling — the cheap per-release byte count the

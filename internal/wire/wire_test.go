@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -249,5 +251,69 @@ func TestQuickDiffRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// randomDiff builds a diff touching every section of the format. Run
+// data mixes fixed-width units with length-prefixed strings (empty
+// and 256 bytes long) and MIPs, the variable-length units collection
+// emits.
+func randomDiff(rng *rand.Rand) *SegmentDiff {
+	d := &SegmentDiff{Version: rng.Uint32()}
+	for i := rng.Intn(3); i > 0; i-- {
+		d.Descs = append(d.Descs, DescDef{Serial: rng.Uint32(), Bytes: make([]byte, rng.Intn(40))})
+	}
+	for i := rng.Intn(3); i > 0; i-- {
+		name := ""
+		if rng.Intn(2) == 0 {
+			name = fmt.Sprintf("blk%d", rng.Intn(1000))
+		}
+		d.News = append(d.News, NewBlock{Serial: rng.Uint32(), DescSerial: rng.Uint32(), Count: rng.Uint32(), Name: name})
+	}
+	for i := rng.Intn(4); i > 0; i-- {
+		d.Freed = append(d.Freed, rng.Uint32())
+	}
+	for i := rng.Intn(4); i > 0; i-- {
+		bd := BlockDiff{Serial: rng.Uint32()}
+		for j := rng.Intn(4); j > 0; j-- {
+			var data []byte
+			units := rng.Intn(5)
+			for u := 0; u < units; u++ {
+				switch rng.Intn(4) {
+				case 0:
+					data = AppendU32(data, rng.Uint32())
+				case 1:
+					data = AppendBytes(data, nil)
+				case 2:
+					data = AppendBytes(data, bytes.Repeat([]byte{'s'}, 256))
+				default:
+					data = AppendString(data, fmt.Sprintf("host:%d/seg#%d#%d", rng.Intn(9999), rng.Intn(99), rng.Intn(4096)))
+				}
+			}
+			bd.Runs = append(bd.Runs, Run{Start: rng.Uint32(), Count: uint32(units), Data: data})
+		}
+		d.Blocks = append(d.Blocks, bd)
+	}
+	return d
+}
+
+// TestMarshalSizeExact checks that MarshalSize predicts the encoding's
+// length exactly, since frames are allocated from it and Figure 7's
+// bandwidth is reported through WireSize.
+func TestMarshalSizeExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 2000; i++ {
+		d := randomDiff(rng)
+		if got, want := d.MarshalSize(), len(d.Marshal(nil)); got != want {
+			t.Fatalf("diff %d: MarshalSize = %d, Marshal is %d bytes: %+v", i, got, want, d)
+		}
+		if d.WireSize() != d.MarshalSize() {
+			t.Fatalf("diff %d: WireSize %d != MarshalSize %d", i, d.WireSize(), d.MarshalSize())
+		}
+	}
+	for i, d := range fuzzSeedDiffs() {
+		if got, want := d.MarshalSize(), len(d.Marshal(nil)); got != want {
+			t.Errorf("seed %d: MarshalSize = %d, Marshal is %d bytes", i, got, want)
+		}
 	}
 }
